@@ -51,8 +51,17 @@ class DeterministicPool(WorkerPool):
         self._rng.shuffle(order)
         self.orders.append(tuple(order))
         results = [None] * len(tasks)
+        errors = [None] * len(tasks)
         for index in order:
-            results[index] = tasks[index]()
+            try:
+                results[index] = tasks[index]()
+            except Exception as error:
+                errors[index] = error
+        # Same failure contract as ThreadedPool: every job runs, then
+        # the first failure in *submission* order surfaces.
+        for error in errors:
+            if error is not None:
+                raise error
         return results
 
 

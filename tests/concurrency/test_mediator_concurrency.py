@@ -22,6 +22,7 @@ from repro.mediator import (
 )
 from repro.sources import (
     AceRepository,
+    Capabilities,
     EmblRepository,
     FaultStats,
     FaultyRepository,
@@ -196,6 +197,51 @@ class TestWallClockDeadline:
         # rest fail fast; in parallel everyone gets the full window.
         assert sum(parallel) > sum(sequential)
         assert min(parallel) == max(parallel)
+
+
+class _PredicateFailure(Exception):
+    def __init__(self, source):
+        super().__init__(source)
+        self.source = source
+
+
+class TestFanOutFailureContract:
+    """A raising job does not cancel its siblings: every job runs, the
+    first failure in submission order surfaces, and the query charges
+    no makespan to the shared clock."""
+
+    @pytest.mark.parametrize("make_pool", [
+        lambda seed: ThreadedPool(4),
+        lambda seed: DeterministicPool(seed=seed, max_workers=4),
+    ], ids=["threaded", "deterministic"])
+    def test_first_failure_surfaces_after_every_source_ran(self, seed,
+                                                           make_pool):
+        universe = Universe(seed=71, size=12)
+        timeline = VirtualClock()
+        # Snapshot-only sources: one source request per source.
+        proxies = [
+            FaultyRepository(GenBankRepository(universe), timeline, seed=1),
+            FaultyRepository(AceRepository(universe), timeline, seed=3),
+            FaultyRepository(EmblRepository(universe,
+                                            capabilities=Capabilities()),
+                             timeline, seed=2),
+        ]
+        for proxy in proxies:
+            proxy.add_latency(1.0)
+        failing = {proxies[0].name, proxies[2].name}
+
+        def predicate(row):
+            if row.source in failing:
+                raise _PredicateFailure(row.source)
+            return True
+
+        mediator = Mediator(proxies, timeline=timeline,
+                            pool=make_pool(seed))
+        with pytest.raises(_PredicateFailure) as raised:
+            mediator.find_genes(predicate=predicate)
+        assert raised.value.source == proxies[0].name
+        assert mediator.cost.source_requests == len(proxies)
+        assert timeline.now() == 0.0
 
 
 class TestLockedCounters:

@@ -6,6 +6,7 @@ churn, and the WAL-shipped replica all run together, deterministically,
 under the harness seed.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -123,6 +124,23 @@ class TestDeterminism:
         other = run_macro(soak_spec(seed=harness_seed() + 17)).to_payload()
         assert (json.dumps(other, sort_keys=True)
                 != json.dumps(soak_payload, sort_keys=True))
+
+
+#: sha256 of the sorted-key JSON payload of ``MacroSpec.quick(seed)``.
+#: ``bench_macro --check`` compares within tolerances; this pins every
+#: byte, so any behavioural drift of the whole stack fails here.
+GOLDEN_QUICK_DIGESTS = {
+    0: "027a21150215f8aee979ee492fceff891a1eb6e613b0429497e7e903415a693e",
+    7919: "77f0648c6151107dc9f0e7aa02d4f8e075f613212ef4f4dbe8e66845909af48d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_QUICK_DIGESTS))
+def test_quick_day_payload_is_byte_identical(seed):
+    payload = json.dumps(run_macro(MacroSpec.quick(seed)).to_payload(),
+                         sort_keys=True)
+    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_QUICK_DIGESTS[seed]
 
 
 class TestFederationWiring:
