@@ -711,7 +711,6 @@ class Mediator:
             ) or VirtualClock()
         self.timeline = timeline
         self.retry_policy = retry_policy or RetryPolicy()
-        self.max_concurrency = max_concurrency
         if pool is None:
             pool = (SequentialPool() if max_concurrency == 1
                     else ThreadedPool(max_concurrency))
@@ -797,11 +796,12 @@ class Mediator:
 
         Under a parallel pool every job gets a private clock track
         branched off the query's start instant, so each source's
-        backoff and deadline arithmetic is independent of how its
-        siblings are scheduled.  At the join, the shared clock advances
-        by the greedy makespan of the per-job virtual durations over
-        ``pool.max_workers`` lanes — modelled latency is wall-clock
-        under bounded parallelism, not the per-source sum.
+        backoff and deadline arithmetic is independent of the order its
+        siblings run in.  At the join, the shared clock advances by the
+        greedy makespan of the per-job virtual durations over
+        ``pool.max_workers`` lanes — modelled latency is that of bounded
+        parallelism, not the per-source sum.  If a job raises, the
+        pool re-raises after all jobs ran and no makespan is charged.
         """
         with _span("mediator.fan_out", jobs=len(jobs),
                    width=self.pool.max_workers,
@@ -980,7 +980,7 @@ class Mediator:
     ) -> Callable[[], dict]:
         """One source's share of a (batch) lookup: accession → view.
 
-        The whole batch runs on the source's worker, looping accessions
+        The whole batch runs in the source's job, looping accessions
         in input order, so the per-source call sequence is identical to
         the sequential mediator's and the source's seeded fault stream
         replays bit for bit at any concurrency.

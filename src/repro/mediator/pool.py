@@ -1,33 +1,31 @@
-"""Bounded worker pools for concurrent mediator fan-out.
+"""Worker pools for mediator fan-out.
 
-The mediator fans one job per source out over a pool.  Three pools
-share the interface:
+The mediator fans one job per source out over a pool.  Every pool runs
+its jobs on the caller's thread — the sources are in-process and all
+latency is *modelled* on the shared virtual clock, so real threads
+would buy no modelled latency and no answers.  Three pools share the
+interface:
 
-- :class:`SequentialPool` — the legacy baseline: jobs run inline, in
-  order, on the caller's thread, advancing the shared virtual clock
-  directly (summed per-source time);
-- :class:`ThreadedPool` — a bounded ``ThreadPoolExecutor``; each job
-  runs on its own :class:`~repro.sources.faults.ClockTrack`, and the
-  mediator joins the tracks back into the shared clock with
-  :func:`bounded_makespan`, so modelled latency reflects wall-clock
-  under ``max_workers``-way parallelism;
-- ``DeterministicPool`` (in ``tests/concurrency``) — runs jobs serially
-  in a *seeded permutation* of submission order while still reporting
-  ``parallel = True``, which makes every interleaving-sensitive code
-  path replayable without threads.
+- :class:`SequentialPool` — the legacy baseline: jobs advance the
+  shared virtual clock directly (summed per-source time);
+- :class:`ThreadedPool` — ``parallel``: the mediator runs each job on
+  its own :class:`~repro.sources.faults.ClockTrack` and joins the
+  tracks back into the shared clock with :func:`bounded_makespan`, so
+  modelled latency is that of ``max_workers``-way parallelism;
+- ``DeterministicPool`` (in ``tests/concurrency``) — like
+  :class:`ThreadedPool`, but in a *seeded permutation* of submission
+  order, which makes every order-sensitive code path replayable.
 
 A pool's :meth:`~WorkerPool.run` returns results **in submission
-order** regardless of completion order — answer fusion stays
+order** regardless of execution order — answer fusion stays
 deterministic by construction.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 from repro.errors import MediatorError
-from repro.obs.trace import capture_context, use_context
 
 _T = TypeVar("_T")
 
@@ -52,8 +50,8 @@ def bounded_makespan(durations: Sequence[float], workers: int) -> float:
 class WorkerPool:
     """Interface: run a batch of thunks, return results in order."""
 
-    #: Whether jobs may observe each other mid-flight (drives the
-    #: mediator's decision to isolate each job on a clock track).
+    #: Whether jobs model concurrent execution (drives the mediator's
+    #: decision to isolate each job on a clock track).
     parallel: bool = False
     #: Lane count used for the makespan join.
     max_workers: int = 1
@@ -73,11 +71,15 @@ class SequentialPool(WorkerPool):
 
 
 class ThreadedPool(WorkerPool):
-    """A bounded thread pool; one short-lived executor per batch.
+    """A parallel pool of *max_workers* modelled lanes.
 
-    The executor is created and torn down inside :meth:`run` so that
-    the many mediators a test suite builds never leak idle worker
-    threads past their last query.
+    Jobs run inline, in submission order; the parallelism lives on the
+    virtual clock (one track per job, joined by makespan).  A raising
+    job does not cancel its siblings: every job runs, then the first
+    failure in submission order is re-raised.
+
+    The name is kept because the wall-clock benchmark's traced mode
+    patches ``run`` on each pool class by name (``perfbench/layers.py``).
     """
 
     parallel = True
@@ -88,22 +90,15 @@ class ThreadedPool(WorkerPool):
         self.max_workers = max_workers
 
     def run(self, tasks: Sequence[Callable[[], _T]]) -> list[_T]:
-        if len(tasks) <= 1:
-            return [task() for task in tasks]
-        # Freeze the submitting thread's tracing context so spans opened
-        # inside a worker parent under the caller's current span instead
-        # of starting orphan traces of their own.
-        context = capture_context()
-
-        def contextual(task: Callable[[], _T]) -> Callable[[], _T]:
-            def run_with_context() -> _T:
-                with use_context(context):
-                    return task()
-            return run_with_context
-
-        with ThreadPoolExecutor(max_workers=self.max_workers) as executor:
-            futures = [executor.submit(contextual(task)) for task in tasks]
-            return [future.result() for future in futures]
+        results, failures = [], []
+        for task in tasks:
+            try:
+                results.append(task())
+            except Exception as error:
+                failures.append(error)
+        if failures:
+            raise failures[0]
+        return results
 
     def __repr__(self) -> str:
         return f"ThreadedPool(max_workers={self.max_workers})"

@@ -5,8 +5,8 @@ against.  Three pieces:
 
 - :mod:`repro.obs.trace` — hierarchical spans with per-query trace
   ids, recording wall-clock *and* ``VirtualClock`` time, with a
-  context-local current span that propagates across ``WorkerPool``
-  threads (``capture_context`` / ``use_context``).
+  thread-local current span (the mediator's fan-out runs inline, so
+  per-source spans parent under the caller's span).
 - :mod:`repro.obs.metrics` — a process-wide registry of counters /
   gauges / histograms that the existing cost structs publish into via
   :func:`count` without changing their own APIs.
@@ -43,7 +43,6 @@ from repro.obs.trace import (
     Span,
     Tracer,
     annotate,
-    capture_context,
     current_span,
     current_trace_id,
     disable,
@@ -52,7 +51,6 @@ from repro.obs.trace import (
     get_tracer,
     set_tracer,
     span,
-    use_context,
 )
 
 __all__ = [
@@ -66,7 +64,6 @@ __all__ = [
     "Span",
     "Tracer",
     "annotate",
-    "capture_context",
     "count",
     "current_span",
     "current_trace_id",
@@ -85,5 +82,4 @@ __all__ = [
     "set_registry",
     "set_tracer",
     "span",
-    "use_context",
 ]

@@ -24,11 +24,10 @@ Design constraints, in order:
    seeded ``random.Random``, so a given (seed, query sequence) samples
    the same traces on every run.
 3. **Thread-correct.**  The current span lives in a ``threading.local``
-   stack.  Worker pools propagate it explicitly: capture with
-   :func:`capture_context` on the submitting thread, re-install with
-   :func:`use_context` inside the worker — the mediator's
-   ``ThreadedPool`` does exactly this, so per-source spans parent
-   correctly at any fan-out width.
+   stack.  The mediator's fan-out runs every per-source job on the
+   caller's thread, so per-source spans parent under the fan-out span
+   at any width.  A span opened on another thread starts a root of its
+   own.
 
 Sampling is decided once, at the **root** of a trace; children inherit
 the decision.  An unsampled root still occupies the context stack (as
@@ -48,7 +47,6 @@ __all__ = [
     "Tracer",
     "NOOP_SPAN",
     "annotate",
-    "capture_context",
     "current_span",
     "current_trace_id",
     "disable",
@@ -57,7 +55,6 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "span",
-    "use_context",
 ]
 
 
@@ -193,9 +190,6 @@ class _NoopSpan:
 
 NOOP_SPAN = _NoopSpan()
 
-#: Context token meaning "the captured thread had no active span".
-_NO_CONTEXT = (None, None)
-
 
 class Tracer:
     """Creates, samples, parents, buffers, and exports spans.
@@ -307,19 +301,6 @@ class Tracer:
         if self.sink is not None:
             self.sink.export(spans)
 
-    # -- cross-thread propagation ------------------------------------------------
-
-    def capture(self):
-        return (self, self.current())
-
-    def adopt(self, spn) -> None:
-        self._stack().append(spn if spn is not None else NOOP_SPAN)
-
-    def release(self, spn) -> None:
-        stack = self._stack()
-        if stack:
-            stack.pop()
-
 
 # ---------------------------------------------------------------------------
 # The module-level switchboard (what instrumentation sites call)
@@ -395,41 +376,3 @@ def annotate(**attributes: Any) -> None:
     current = tracer.current()
     if current is not None:
         current.annotate(**attributes)
-
-
-def capture_context():
-    """Freeze this thread's tracing context for another thread.
-
-    Returns an opaque token; hand it to :func:`use_context` inside the
-    worker.  Cheap and safe to call when tracing is disabled.
-    """
-    tracer = _ACTIVE
-    if tracer is None:
-        return _NO_CONTEXT
-    return tracer.capture()
-
-
-class use_context:
-    """Context manager installing a captured tracing context.
-
-    The worker pool wraps each job in ``with use_context(token):`` so
-    spans opened on the worker thread parent under the span that was
-    current on the *submitting* thread.
-    """
-
-    __slots__ = ("_token",)
-
-    def __init__(self, token) -> None:
-        self._token = token
-
-    def __enter__(self) -> None:
-        tracer, spn = self._token
-        if tracer is not None:
-            tracer.adopt(spn)
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        tracer, spn = self._token
-        if tracer is not None:
-            tracer.release(spn)
-        return None

@@ -73,11 +73,11 @@ class VirtualClock:
     outage windows all advance / read the same clock, so their
     interactions are deterministic and instantaneous to test.
 
-    The clock is thread-safe.  Concurrent fan-out additionally uses
-    *tracks* (:meth:`open_track` / :meth:`close_track`): a task running
-    on its own track sees virtual time progress independently of its
-    siblings, which keeps per-task backoff and deadline arithmetic
-    deterministic no matter how the OS schedules the worker threads.
+    The clock is thread-safe.  Modelled-parallel fan-out additionally
+    uses *tracks* (:meth:`open_track` / :meth:`close_track`): a job
+    running on its own track sees virtual time progress independently
+    of its siblings, which keeps per-job backoff and deadline
+    arithmetic independent of the order the fan-out runs its jobs in.
 
     Tracks **nest** per thread: the serving layer measures one source
     call on an inner track while a fan-out job's outer track stays

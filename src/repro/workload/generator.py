@@ -49,6 +49,7 @@ from repro.serving.policy import (
     PRIORITY_NAMES,
 )
 from repro.serving.server import Request
+from repro.serving.workload import _weighted
 
 #: Query mix: point lookups dominate, extent scans are the stragglers.
 DEFAULT_KIND_WEIGHTS = (("gene", 0.72), ("genes", 0.18),
@@ -189,16 +190,6 @@ class ZipfSampler:
     def head(self, count: int) -> list:
         """The *count* most popular accessions, hottest first."""
         return self.ranked[:count]
-
-
-def _weighted(rng: random.Random, pairs):
-    roll = rng.random()
-    acc = 0.0
-    for value, weight in pairs:
-        acc += weight
-        if roll < acc:
-            return value
-    return pairs[-1][0]
 
 
 def day_in_the_life(

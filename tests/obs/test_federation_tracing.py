@@ -1,9 +1,9 @@
-"""Tracing across the real federation: ids, threads, layers, metrics.
+"""Tracing across the real federation: ids, fan-out, layers, metrics.
 
 These are the end-to-end regressions the observability subsystem was
 built for: one query's spans correlate with its ``QueryHealth`` and
 ``SourceError`` through a shared trace id, per-source spans parent
-correctly under real ``ThreadedPool`` fan-out, and the existing cost
+correctly under parallel ``ThreadedPool`` fan-out, and the existing cost
 structs publish into the metrics registry without any API change.
 """
 
@@ -109,7 +109,7 @@ class TestTraceIdCorrelation:
 class TestThreadedFanOutIntegrity:
     @pytest.mark.parametrize("width", [4, 6])
     def test_every_span_parents_inside_its_own_trace(self, width):
-        """Parent/child integrity under real ThreadedPool fan-out."""
+        """Parent/child integrity under parallel ThreadedPool fan-out."""
         __, timeline, sources = _federation()
         mediator = Mediator(sources, timeline=timeline,
                             max_concurrency=width)

@@ -93,6 +93,36 @@ def test_audit_actually_fires():
                    for pattern, __ in _BANNED)
 
 
+#: Worker threads in the library.  Every source is in-process and all
+#: latency is modelled on the ``VirtualClock``, so mediator fan-out runs
+#: inline on branched clock tracks; a thread would buy no modelled
+#: latency and no answers.  Tests keep their threads (lock hammers).
+_WORKER_THREADS = re.compile(r"\bconcurrent\.futures\b|\bthreading\.Thread\(")
+
+
+def test_library_starts_no_worker_threads():
+    offences = []
+    for path in (REPO / "src").rglob("*.py"):
+        for number, line in enumerate(
+                path.read_text().splitlines(), start=1):
+            if MARKER not in line and _WORKER_THREADS.search(line):
+                offences.append(
+                    f"{path.relative_to(REPO)}:{number}: {line.strip()}")
+    assert not offences, (
+        "src/ must not start worker threads (fan-out runs inline on "
+        "clock tracks):\n" + "\n".join(offences))
+
+
+def test_worker_thread_audit_actually_fires():
+    assert _WORKER_THREADS.search(
+        "from concurrent.futures import ThreadPoolExecutor")
+    assert _WORKER_THREADS.search("import concurrent.futures")
+    assert _WORKER_THREADS.search(
+        "worker = threading.Thread(target=run)")
+    assert not _WORKER_THREADS.search("self._lock = threading.Lock()")
+    assert not _WORKER_THREADS.search("self._local = threading.local()")
+
+
 #: Unbounded materialization of a child's whole row stream inside a
 #: plan operator.  Pipeline breakers must route rows through the
 #: budgeted runs in ``repro.db.columnar.spill`` (``row_run`` /
