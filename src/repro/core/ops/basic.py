@@ -51,6 +51,31 @@ def base_composition(sequence: PackedSequence) -> dict[str, int]:
     return {symbol: text.count(symbol) for symbol in sorted(set(text))}
 
 
+#: Separators repository text puts between sequence blocks.
+_SEPARATORS = "/\\.,;:"
+
+#: One deletion table for every ASCII character a decoder drops.
+_ASCII_DROPS = str.maketrans("", "", "".join(
+    ch for ch in map(chr, range(128))
+    if ch.isdigit() or ch.isspace() or ch in _SEPARATORS
+))
+
+
+def _cleaned(raw: str) -> str:
+    """*raw* without digits, whitespace and separators, upper-cased.
+
+    ASCII text (every repository flat file) goes through one
+    ``str.translate``; other text keeps the per-character filter, since
+    ``isdigit``/``isspace`` also accept non-ASCII digits and spaces.
+    """
+    if raw.isascii():
+        return raw.translate(_ASCII_DROPS).upper()
+    return "".join(
+        ch for ch in raw if not ch.isdigit() and not ch.isspace()
+        and ch not in _SEPARATORS
+    ).upper()
+
+
 def decode(raw: str) -> DnaSequence:
     """Decode raw repository sequence text into a DNA value.
 
@@ -60,29 +85,17 @@ def decode(raw: str) -> DnaSequence:
     the IUPAC DNA alphabet — this is the paper's ``decode`` operation: the
     step from low-level repository text to a high-level GDT value.
     """
-    cleaned = "".join(
-        ch for ch in raw if not ch.isdigit() and not ch.isspace()
-        and ch not in "/\\.,;:"
-    )
-    return DnaSequence(cleaned.upper())
+    return DnaSequence(_cleaned(raw))
 
 
 def decode_rna(raw: str) -> RnaSequence:
     """Like :func:`decode` but for RNA text."""
-    cleaned = "".join(
-        ch for ch in raw if not ch.isdigit() and not ch.isspace()
-        and ch not in "/\\.,;:"
-    )
-    return RnaSequence(cleaned.upper())
+    return RnaSequence(_cleaned(raw))
 
 
 def decode_protein(raw: str) -> ProteinSequence:
     """Like :func:`decode` but for amino-acid text."""
-    cleaned = "".join(
-        ch for ch in raw if not ch.isdigit() and not ch.isspace()
-        and ch not in "/\\.,;:"
-    )
-    return ProteinSequence(cleaned.upper())
+    return ProteinSequence(_cleaned(raw))
 
 
 def dna_to_rna(dna: DnaSequence) -> RnaSequence:

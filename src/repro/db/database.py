@@ -29,9 +29,9 @@ from repro.db.sql import ast
 from repro.db.sql.expressions import Evaluator, Frame, RowContext
 from repro.db.sql.functions import register_builtin_functions
 from repro.db.sql.optimizer import Planner
-from repro.db.sql.parser import parse
+from repro.db.sql.parser import is_cached, parse
 from repro.db.table import Table
-from repro.db.values import NULL, OpaqueType
+from repro.db.values import NULL, OpaqueType, equality_is_typesafe
 from repro.errors import (
     CatalogError,
     DatabaseError,
@@ -234,7 +234,9 @@ class Database:
         Returns a :class:`ResultSet` for SELECT, the number of affected
         rows for DML, and ``None`` for DDL.
         """
-        with _span("sql.parse"):
+        with _span("sql.parse") as spn:
+            if spn.recording:
+                spn.annotate(cache_hit=is_cached(sql))
             statement = parse(sql)
         mutating = not isinstance(statement, ast.Select)
         result = self._dispatch(statement, parameters)
@@ -447,17 +449,68 @@ class Database:
             inserted += 1
         return inserted
 
-    def _matching_row_ids(self, table, where: ast.Expression | None,
-                          parameters: Sequence[Any]) -> list[int]:
+    def _point_candidates(self, table: Table,
+                          where: ast.Expression | None,
+                          parameters: Sequence[Any]) -> "list[int] | None":
+        """Candidate row ids of a ``col = key`` WHERE, or ``None`` to scan.
+
+        *key* must be a literal or a supplied parameter, non-NULL, and
+        of a Python type that :func:`~repro.db.values.compare` accepts
+        against every value the column can hold: then the scan could
+        raise on no row, and only rows equal to *key* can match.  The
+        candidates come from the column's uniqueness map or an equality
+        index (:meth:`Table.equal_row_ids`), in ascending row-id order.
+        """
+        if not (isinstance(where, ast.Binary) and where.operator == "="):
+            return None
+        for column, key in ((where.left, where.right),
+                            (where.right, where.left)):
+            if not isinstance(column, ast.ColumnRef) or column.table not in (
+                    None, table.name):
+                continue
+            if isinstance(key, ast.Literal):
+                value = key.value
+            elif (isinstance(key, ast.Parameter)
+                  and key.index < len(parameters)):
+                value = parameters[key.index]
+            else:
+                continue
+            if (not table.schema.has_column(column.column)
+                    or not equality_is_typesafe(
+                        table.schema.column(column.column).sql_type, value)):
+                continue
+            candidates = table.equal_row_ids(column.column, value)
+            if candidates is not None:
+                return candidates
+        return None
+
+    def _matching_row_ids(self, table: Table, where: ast.Expression | None,
+                          parameters: Sequence[Any], spn) -> list[int]:
+        """The ids of the rows *where* keeps, in ascending row-id order.
+
+        With ``optimize`` on, a point WHERE (:meth:`_point_candidates`)
+        re-checks only its candidates; otherwise every row is scanned.
+        The statement's span *spn* records ``access``, ``rows_examined``
+        and ``rows``.
+        """
+        candidates = (self._point_candidates(table, where, parameters)
+                      if self.optimize else None)
+        if candidates is None:
+            access, rows = "scan", list(table.rows())
+        else:
+            access = "point"
+            rows = [(row_id, table.row(row_id)) for row_id in candidates]
         frame = Frame.for_table(table.name, table.schema.column_names)
         matches: list[int] = []
-        for row_id, row in list(table.rows()):
+        for row_id, row in rows:
             if where is None:
                 matches.append(row_id)
                 continue
             context = RowContext(frame, tuple(row), parameters, None)
             if self._evaluator.evaluate_predicate(where, context):
                 matches.append(row_id)
+        spn.annotate(access=access, rows_examined=len(rows),
+                     rows=len(matches))
         return matches
 
     def _update(self, statement: ast.Update,
@@ -469,23 +522,28 @@ class Database:
             for column, expression in statement.assignments
         ]
         updated = 0
-        for row_id in self._matching_row_ids(table, statement.where,
-                                             parameters):
-            old_row = table.row(row_id)
-            context = RowContext(frame, tuple(old_row), parameters, None)
-            new_row = list(old_row)
-            for position, expression in assignments:
-                new_row[position] = self._evaluator.evaluate(
-                    expression, context
-                )
-            table.update(row_id, new_row)
-            updated += 1
+        with _span("sql.execute") as spn:
+            row_ids = self._matching_row_ids(table, statement.where,
+                                             parameters, spn)
+            for row_id in row_ids:
+                old_row = table.row(row_id)
+                context = RowContext(frame, tuple(old_row), parameters,
+                                     None)
+                new_row = list(old_row)
+                for position, expression in assignments:
+                    new_row[position] = self._evaluator.evaluate(
+                        expression, context
+                    )
+                table.update(row_id, new_row)
+                updated += 1
         return updated
 
     def _delete(self, statement: ast.Delete,
                 parameters: Sequence[Any]) -> int:
         table = self.catalog.table(statement.table)
-        row_ids = self._matching_row_ids(table, statement.where, parameters)
-        for row_id in row_ids:
-            table.delete(row_id)
+        with _span("sql.execute") as spn:
+            row_ids = self._matching_row_ids(table, statement.where,
+                                             parameters, spn)
+            for row_id in row_ids:
+                table.delete(row_id)
         return len(row_ids)

@@ -1,9 +1,16 @@
-"""Abstract syntax trees for the engine's SQL subset."""
+"""Abstract syntax trees for the engine's SQL subset.
+
+Every node is a frozen dataclass whose sequences are tuples: the parser
+caches one statement per SQL text (:func:`repro.db.sql.parser.parse`),
+so a statement handed to one caller must be impossible to change under
+the next.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Mapping
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +152,7 @@ class Statement:
     """Base class of all statement nodes."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ColumnDef:
     name: str
     type_name: str
@@ -155,64 +162,69 @@ class ColumnDef:
     default: Literal | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class CreateTable(Statement):
     name: str
-    columns: list[ColumnDef]
+    columns: tuple[ColumnDef, ...]
     if_not_exists: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class CreateIndex(Statement):
     name: str
     table: str
     column: str
     using: str = "btree"
-    parameters: dict[str, int] = field(default_factory=dict)
+    #: ``WITH (k = 8)`` options; stored as a read-only mapping.
+    parameters: Mapping[str, int] = field(default_factory=dict)
     if_not_exists: bool = False
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "parameters",
+                           MappingProxyType(dict(self.parameters)))
 
-@dataclass
+
+@dataclass(frozen=True)
 class DropTable(Statement):
     name: str
     if_exists: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class DropIndex(Statement):
     name: str
     table: str
     if_exists: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class Analyze(Statement):
     """``ANALYZE t`` — collect per-column distinct counts for planning."""
 
     table: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class Insert(Statement):
     table: str
-    columns: list[str] | None
-    rows: list[list[Expression]]
+    columns: tuple[str, ...] | None
+    rows: tuple[tuple[Expression, ...], ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Update(Statement):
     table: str
-    assignments: list[tuple[str, Expression]]
+    assignments: tuple[tuple[str, Expression], ...]
     where: Expression | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Delete(Statement):
     table: str
     where: Expression | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class TableRef:
     name: str
     alias: str | None = None
@@ -223,20 +235,20 @@ class TableRef:
         return self.alias or self.name
 
 
-@dataclass
+@dataclass(frozen=True)
 class Join:
     table: TableRef
     condition: Expression
     kind: str = "inner"  # 'inner' or 'left'
 
 
-@dataclass
+@dataclass(frozen=True)
 class OrderItem:
     expression: Expression
     ascending: bool = True
 
 
-@dataclass
+@dataclass(frozen=True)
 class SelectItem:
     """One projection: an expression with an optional alias, or ``*``."""
 
@@ -248,15 +260,15 @@ class SelectItem:
         return self.expression is None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Select(Statement):
-    items: list[SelectItem]
+    items: tuple[SelectItem, ...]
     source: TableRef | None = None
-    joins: list[Join] = field(default_factory=list)
+    joins: tuple[Join, ...] = ()
     where: Expression | None = None
-    group_by: list[Expression] = field(default_factory=list)
+    group_by: tuple[Expression, ...] = ()
     having: Expression | None = None
-    order_by: list[OrderItem] = field(default_factory=list)
+    order_by: tuple[OrderItem, ...] = ()
     limit: int | None = None
     offset: int | None = None
     distinct: bool = False

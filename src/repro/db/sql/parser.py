@@ -17,6 +17,9 @@ Grammar highlights (case-insensitive keywords):
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+
 from repro.db.sql import ast
 from repro.db.sql.lexer import (
     END,
@@ -123,7 +126,7 @@ class Parser:
             while self._accept(OPERATOR, ","):
                 columns.append(self._column_def())
             self._expect(OPERATOR, ")")
-            return ast.CreateTable(name, columns, if_not_exists)
+            return ast.CreateTable(name, tuple(columns), if_not_exists)
         if self._accept(KEYWORD, "INDEX"):
             if_not_exists = self._if_not_exists()
             name = self._expect_identifier()
@@ -158,20 +161,22 @@ class Parser:
         if self._accept(OPERATOR, "("):
             self._expect(NUMBER)
             self._expect(OPERATOR, ")")
-        definition = ast.ColumnDef(name, type_name)
+        not_null = primary_key = unique = False
+        default: ast.Literal | None = None
         while True:
             if self._accept(KEYWORD, "NOT"):
                 self._expect(KEYWORD, "NULL")
-                definition.not_null = True
+                not_null = True
             elif self._accept(KEYWORD, "PRIMARY"):
                 self._expect(KEYWORD, "KEY")
-                definition.primary_key = True
+                primary_key = True
             elif self._accept(KEYWORD, "UNIQUE"):
-                definition.unique = True
+                unique = True
             elif self._accept(KEYWORD, "DEFAULT"):
-                definition.default = self._literal()
+                default = self._literal()
             else:
-                return definition
+                return ast.ColumnDef(name, type_name, not_null,
+                                     primary_key, unique, default)
 
     def _drop(self) -> ast.Statement:
         self._expect(KEYWORD, "DROP")
@@ -196,25 +201,26 @@ class Parser:
         self._expect(KEYWORD, "INSERT")
         self._expect(KEYWORD, "INTO")
         table = self._expect_identifier()
-        columns: list[str] | None = None
+        columns: tuple[str, ...] | None = None
         if self._accept(OPERATOR, "("):
-            columns = [self._expect_identifier()]
+            names = [self._expect_identifier()]
             while self._accept(OPERATOR, ","):
-                columns.append(self._expect_identifier())
+                names.append(self._expect_identifier())
             self._expect(OPERATOR, ")")
+            columns = tuple(names)
         self._expect(KEYWORD, "VALUES")
         rows = [self._value_row()]
         while self._accept(OPERATOR, ","):
             rows.append(self._value_row())
-        return ast.Insert(table, columns, rows)
+        return ast.Insert(table, columns, tuple(rows))
 
-    def _value_row(self) -> list[ast.Expression]:
+    def _value_row(self) -> tuple[ast.Expression, ...]:
         self._expect(OPERATOR, "(")
         row = [self._expression()]
         while self._accept(OPERATOR, ","):
             row.append(self._expression())
         self._expect(OPERATOR, ")")
-        return row
+        return tuple(row)
 
     def _update(self) -> ast.Update:
         self._expect(KEYWORD, "UPDATE")
@@ -224,7 +230,7 @@ class Parser:
         while self._accept(OPERATOR, ","):
             assignments.append(self._assignment())
         where = self._optional_where()
-        return ast.Update(table, assignments, where)
+        return ast.Update(table, tuple(assignments), where)
 
     def _assignment(self) -> tuple[str, ast.Expression]:
         column = self._expect_identifier()
@@ -300,8 +306,9 @@ class Parser:
                 offset = int(self._expect(NUMBER).text)
 
         return ast.Select(
-            items=items, source=source, joins=joins, where=where,
-            group_by=group_by, having=having, order_by=order_by,
+            items=tuple(items), source=source, joins=tuple(joins),
+            where=where, group_by=tuple(group_by), having=having,
+            order_by=tuple(order_by),
             limit=limit, offset=offset, distinct=distinct,
         )
 
@@ -494,6 +501,37 @@ class Parser:
         raise self._error("expected an expression")
 
 
+#: How many distinct SQL texts keep their parsed statement.  A refresh,
+#: a WAL replay or a replica catch-up repeats a handful of parameterised
+#: texts thousands of times; the bound keeps one-off texts from growing
+#: the cache without limit.
+STATEMENT_CACHE_SIZE = 256
+
+_statements: "OrderedDict[str, ast.Statement]" = OrderedDict()
+_statements_lock = threading.Lock()
+
+
 def parse(sql: str) -> ast.Statement:
-    """Parse one SQL statement."""
-    return Parser(sql).parse_statement()
+    """Parse one SQL statement, once per distinct text.
+
+    Statements are immutable, so every caller of the same text shares
+    one tree (least recently used texts are evicted past
+    :data:`STATEMENT_CACHE_SIZE`).  A text that fails to parse is not
+    cached: its :class:`SqlSyntaxError` is raised on every call.
+    """
+    with _statements_lock:
+        statement = _statements.get(sql)
+        if statement is not None:
+            _statements.move_to_end(sql)
+            return statement
+    statement = Parser(sql).parse_statement()
+    with _statements_lock:
+        _statements[sql] = statement
+        if len(_statements) > STATEMENT_CACHE_SIZE:
+            _statements.popitem(last=False)
+    return statement
+
+
+def is_cached(sql: str) -> bool:
+    """Whether :func:`parse` holds *sql* (recency is left untouched)."""
+    return sql in _statements

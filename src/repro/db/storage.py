@@ -136,21 +136,19 @@ def line_checksum_ok(line: str, record: dict) -> bool:
     """Verify one WAL line's CRC32, preferring the raw bytes.
 
     :func:`checksum_line` always splices ``, "crc": N`` in as the last
-    field, so the covered body is the line with that suffix removed —
-    one ``crc32`` over the bytes as written, no re-serialization.
-    This is both faster than :func:`record_checksum_ok` (the replay
-    hot path calls this per record) and byte-exact.  Lines not in
-    writer format (foreign serialization, legacy records) fall back
-    to the semantic check, so nothing readable regresses.
+    field, so the covered body is the line up to that mark plus the
+    closing brace: one ``crc32`` over the bytes as written, compared
+    with the parsed ``crc``, no re-serialization.  This is both faster
+    than :func:`record_checksum_ok` (the replay hot path calls this per
+    record) and byte-exact.  Lines not in writer format (foreign
+    serialization, legacy records) fall back to the semantic check,
+    so nothing readable regresses.
     """
     mark = line.rfind(_CRC_MARK)
-    if mark != -1 and line.endswith("}"):
-        digits = line[mark + len(_CRC_MARK):-1]
-        if digits.isdigit():
-            crc = zlib.crc32(
-                b"}", zlib.crc32(line[:mark].encode("utf-8")))
-            if crc == int(digits):
-                return True
+    if mark != -1 and zlib.crc32(
+            b"}", zlib.crc32(line[:mark].encode("utf-8"))) == record.get(
+                "crc"):
+        return True
     return record_checksum_ok(record)
 
 
@@ -250,7 +248,7 @@ def build_image(database: Database,
             "table": definition.table,
             "column": definition.column,
             "using": definition.using,
-            "parameters": definition.parameters,
+            "parameters": dict(definition.parameters),
         })
     return image
 

@@ -118,6 +118,21 @@ class Table:
     def has_row(self, row_id: int) -> bool:
         return self._heap.has(row_id)
 
+    def equal_row_ids(self, column: str, key: Any) -> "list[int] | None":
+        """Ascending ids of the rows whose *column* may equal the non-NULL
+        *key*: from the column's uniqueness map when it is PRIMARY KEY or
+        UNIQUE, else from an attached equality index.  ``None`` when the
+        column has neither (the caller scans).  Callers re-check rows."""
+        column = column.lower()
+        claimed = self._unique_columns.get(column)
+        if claimed is not None:
+            owner = claimed.get(_unique_key(key))
+            return [] if owner is None else [owner]
+        for index in self._indexes.values():
+            if index.column == column and index.supports_equality:
+                return sorted(index.search_equal(key))
+        return None
+
     # -- uniqueness ---------------------------------------------------------------
 
     def _check_unique(self, row: list[Any],

@@ -241,6 +241,30 @@ def compare(operator: str, left: Any, right: Any) -> "bool | None":
     raise TypeCheckError(f"unknown comparison operator {operator!r}")
 
 
+def equality_is_typesafe(sql_type: SqlType, key: Any) -> bool:
+    """Whether ``compare("=", value, key)`` cannot raise for any value a
+    column of *sql_type* holds, and *key* is not NULL.
+
+    Decided from the declared built-in type alone: INTEGER and REAL
+    columns hold numbers, BOOLEAN columns ``bool``, TEXT ``str`` and
+    BLOB ``bytes`` (coercion stores exactly these; a caller that inserts
+    a ``str`` or ``bytes`` subclass instance is outside the rule).
+    Opaque columns always answer ``False``: their values' equality is
+    their own affair.
+    """
+    if key is NULL:
+        return False
+    if sql_type is INTEGER or sql_type is REAL:
+        return isinstance(key, (int, float)) and not isinstance(key, bool)
+    if sql_type is BOOLEAN:
+        return isinstance(key, bool)
+    if sql_type is TEXT:
+        return type(key) is str
+    if sql_type is BLOB:
+        return type(key) is bytes
+    return False
+
+
 def sort_key(value: Any) -> tuple:
     """A total-order key across NULLs and mixed values (NULLs first)."""
     if value is NULL:

@@ -359,12 +359,28 @@ class PrimaryNode:
         self.divergence: DivergenceReport | None = None
         self.observed_epoch: int | None = None
         self.writes_refused = 0
-        #: ``(generation, index)`` of every statement acknowledged to a
-        #: client — the promises :meth:`demote` checks against history.
-        self.acked: set[tuple[int, int]] = set()
+        #: Records per generation: those found on disk at start-up,
+        #: then every statement :meth:`execute` logged.
         self._record_counts: dict[int, int] = {}
+        #: Logged statements whose acknowledgement was refused.
+        self._unacknowledged: set[tuple[int, int]] = set()
         if self.lease is not None or auditor is not None:
             self._seed_record_counts()
+        self._inherited_counts = dict(self._record_counts)
+
+    @property
+    def acked(self) -> set[tuple[int, int]]:
+        """``(generation, index)`` of every statement acknowledged to a
+        client — the promises :meth:`demote` checks against history.
+
+        Derived rather than recorded per write: every statement this
+        node logged was acknowledged, except the in-flight refusals."""
+        return {
+            (generation, index)
+            for generation, count in self._record_counts.items()
+            for index in range(self._inherited_counts.get(generation, 0),
+                               count)
+        } - self._unacknowledged
 
     def _seed_record_counts(self) -> None:
         for generation, path in list_sealed_segments(self.wal_path):
@@ -401,23 +417,28 @@ class PrimaryNode:
         if not self.alive:
             raise FederationError(
                 f"primary {self.name!r} is down; promote a follower")
-        if self.lease is None and self.auditor is None:
+        lease = self.lease
+        if lease is None and self.auditor is None:
             self.database.execute(sql, list(parameters))
             return
-        if self.lease is not None:
+        if lease is not None:
             now = self.timeline.now()
-            if not self.lease.live(now):
+            if now >= lease.expires_at:       # not lease.live(now)
                 self._renew_or_refuse(now)
         generation = self.wal.generation
-        index = self._record_counts.get(generation, 0)
+        counts = self._record_counts
+        index = counts.get(generation, 0)
         self.database.execute(sql, list(parameters))
-        self._record_counts[generation] = index + 1
+        counts[generation] = index + 1
         if self.lease is not None and self.ack_cost:
             self.timeline.advance(self.ack_cost)
             now = self.timeline.now()
             if not self.lease.live(now):
-                self._renew_or_refuse(now, in_flight=True)
-        self.acked.add((generation, index))
+                try:
+                    self._renew_or_refuse(now, in_flight=True)
+                except BaseException:
+                    self._unacknowledged.add((generation, index))
+                    raise
         if self.auditor is not None:
             self.auditor.record_ack(
                 self.name, self.epoch, generation, index, sql)
@@ -544,6 +565,7 @@ class PrimaryNode:
         report = DivergenceReport(
             node=self.name, epoch=self.epoch,
             successor=successor.name, successor_epoch=successor.epoch)
+        acked = self.acked
         for shipment in disk_shipments(self.wal_path, on_bit_rot="skip"):
             try:
                 records, __ = parse_wal_payload(
@@ -563,8 +585,7 @@ class PrimaryNode:
                 report.statements.append(DivergedStatement(
                     generation=shipment.generation, index=index,
                     sql=str(record.get("sql", "")),
-                    acknowledged=(shipment.generation, index)
-                    in self.acked))
+                    acknowledged=(shipment.generation, index) in acked))
             if diverged_here:
                 path = (f"{self.wal_path}.{shipment.generation:06d}"
                         if shipment.sealed else self.wal_path)

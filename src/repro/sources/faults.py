@@ -66,6 +66,14 @@ class ClockTrack:
         return self.offset
 
 
+class _TrackStacks(threading.local):
+    """Each thread's stack of open clock tracks, created on first use so
+    reading it never takes the (slow) missing-attribute path."""
+
+    def __init__(self) -> None:
+        self.tracks: list[ClockTrack] = []
+
+
 class VirtualClock:
     """A shared simulated timeline (floats, no real sleeping).
 
@@ -91,31 +99,23 @@ class VirtualClock:
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
         self._lock = threading.Lock()
-        self._local = threading.local()
-
-    def _track_stack(self) -> list[ClockTrack]:
-        stack = getattr(self._local, "tracks", None)
-        if stack is None:
-            stack = []
-            self._local.tracks = stack
-        return stack
-
-    def _active_track(self) -> ClockTrack | None:
-        stack = self._track_stack()
-        return stack[-1] if stack else None
+        self._local = _TrackStacks()
 
     def now(self) -> float:
-        track = self._active_track()
-        if track is not None:
+        # Hot (every leased write reads it): no helper calls, and no
+        # lock, since reading one float attribute is already atomic.
+        stack = self._local.tracks
+        if stack:
+            track = stack[-1]
             return track.origin + track.offset
-        with self._lock:
-            return self._now
+        return self._now
 
     def advance(self, amount: float) -> float:
         if amount < 0:
             raise ValueError("a virtual clock cannot run backwards")
-        track = self._active_track()
-        if track is not None:
+        stack = self._local.tracks
+        if stack:
+            track = stack[-1]
             track.offset += amount
             return track.origin + track.offset
         with self._lock:
@@ -125,7 +125,7 @@ class VirtualClock:
     def open_track(self, origin: float | None = None) -> ClockTrack:
         """Branch this thread's virtual time off at *origin* (default: now)."""
         track = ClockTrack(self.now() if origin is None else origin)
-        self._track_stack().append(track)
+        self._local.tracks.append(track)
         return track
 
     def close_track(self, track: ClockTrack) -> float:
@@ -134,7 +134,7 @@ class VirtualClock:
         Tracks close strictly LIFO: *track* must be the innermost open
         track on this thread.
         """
-        stack = self._track_stack()
+        stack = self._local.tracks
         if not stack or stack[-1] is not track:
             raise RuntimeError("closing a clock track that is not open here")
         stack.pop()

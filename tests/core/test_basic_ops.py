@@ -102,6 +102,46 @@ class TestDecode:
         assert str(decode_protein("mkl vt")) == "MKLVT"
 
 
+def _reference_decode(kind, raw):
+    """The per-character filter every decoder used before the shared
+    ``str.translate`` cleaner: the behaviour to preserve."""
+    cleaned = "".join(
+        ch for ch in raw if not ch.isdigit() and not ch.isspace()
+        and ch not in "/\\.,;:"
+    )
+    return kind(cleaned.upper())
+
+
+def _outcome(function, *args):
+    try:
+        return ("value", str(function(*args)))
+    except SequenceError as exc:
+        return ("error", type(exc), str(exc))
+
+
+#: Repository-like text: sequence letters of every alphabet, digits,
+#: separators, ASCII and non-ASCII whitespace and digits.
+repository_text = st.text(
+    alphabet="acgturykmACGTUNmkl*-/\\.,;: \t\n\r\x0b\x1c0123456789"
+             "\u00a0\u2003\u0663\u00b2\u0130\u00df",
+    max_size=80,
+)
+
+
+class TestDecodeMatchesPerCharacterFilter:
+    DECODERS = ((decode, DnaSequence), (decode_rna, RnaSequence),
+                (decode_protein, ProteinSequence))
+
+    @given(st.one_of(st.text(max_size=80), repository_text))
+    def test_output_or_alphabet_error_is_unchanged(self, raw):
+        for decoder, kind in self.DECODERS:
+            assert _outcome(decoder, raw) == _outcome(
+                _reference_decode, kind, raw)
+
+    def test_non_ascii_digits_and_spaces_are_still_dropped(self):
+        assert str(decode("ac\u0663g\u00a0t\u2003")) == "ACGT"
+
+
 class TestRelettering:
     def test_dna_to_rna(self):
         assert str(dna_to_rna(DnaSequence("ATGT"))) == "AUGU"

@@ -192,3 +192,61 @@ class TestDmlDifferential:
         theirs.execute(sql)
         mine, other = both(ours, theirs, "SELECT a, b, s FROM t")
         assert as_multiset(mine) == as_multiset(other)
+
+
+point_key = st.one_of(st.none(), st.integers(-9, 9))
+
+
+class TestPointDmlDifferential:
+    """``col = ?`` DML through an index (or the scan, for ``b``)."""
+
+    @staticmethod
+    def _indexed(rows, using):
+        ours, theirs = build_engines(rows)
+        ours.execute(f"CREATE INDEX t_a ON t (a) USING {using}")
+        theirs.execute("CREATE INDEX t_a ON t (a)")
+        return ours, theirs
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows_strategy, st.sampled_from(["hash", "btree"]),
+           st.sampled_from(["a = ?", "? = a", "b = ?"]), point_key)
+    def test_point_delete_matches_sqlite(self, rows, using, where, key):
+        ours, theirs = self._indexed(rows, using)
+        sql = f"DELETE FROM t WHERE {where}"
+        assert ours.execute(sql, [key]) == theirs.execute(
+            sql, (key,)).rowcount
+        mine, other = both(ours, theirs, "SELECT a, b, s FROM t")
+        assert as_multiset(mine) == as_multiset(other)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows_strategy, st.sampled_from(["hash", "btree"]),
+           st.sampled_from(["a", "b"]), st.sampled_from(["a = ?", "b = ?"]),
+           point_key, st.integers(-5, 5))
+    def test_point_update_matches_sqlite(self, rows, using, target, where,
+                                         key, value):
+        ours, theirs = self._indexed(rows, using)
+        sql = f"UPDATE t SET {target} = ? WHERE {where}"
+        assert ours.execute(sql, [value, key]) == theirs.execute(
+            sql, (value, key)).rowcount
+        mine, other = both(ours, theirs, "SELECT a, b, s FROM t")
+        assert as_multiset(mine) == as_multiset(other)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-9, 9), cell), max_size=15,
+                    unique_by=lambda pair: pair[0]),
+           point_key, st.integers(-9, 9))
+    def test_primary_key_point_dml_matches_sqlite(self, pairs, key, value):
+        ours = Database()
+        theirs = sqlite3.connect(":memory:")
+        for engine in (ours, theirs):
+            engine.execute("CREATE TABLE k (id INTEGER PRIMARY KEY, v INTEGER)")
+        for pair in pairs:
+            ours.execute("INSERT INTO k VALUES (?, ?)", list(pair))
+            theirs.execute("INSERT INTO k VALUES (?, ?)", pair)
+        for sql, parameters in (("UPDATE k SET v = ? WHERE id = ?",
+                                 (value, key)),
+                                ("DELETE FROM k WHERE id = ?", (value,))):
+            assert ours.execute(sql, list(parameters)) == theirs.execute(
+                sql, parameters).rowcount
+        mine, other = both(ours, theirs, "SELECT id, v FROM k")
+        assert as_multiset(mine) == as_multiset(other)

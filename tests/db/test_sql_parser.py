@@ -201,7 +201,7 @@ class TestDdlDmlParsing:
             "INSERT INTO t (a, b) VALUES (1, 'x'), (2, 'y')"
         )
         assert isinstance(statement, ast.Insert)
-        assert statement.columns == ["a", "b"]
+        assert statement.columns == ("a", "b")
         assert len(statement.rows) == 2
 
     def test_insert_without_columns(self):
